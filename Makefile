@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexMoves' -fuzztime $(FUZZTIME) ./internal/topology/
 	$(GO) test -run '^$$' -fuzz 'FuzzTilePartition' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
+	$(GO) test -run '^$$' -fuzz 'FuzzKernelOps' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # bench runs the simulation-substrate micro-benchmarks plus the
 # end-to-end Figure 8 regeneration and the sharded-engine scaling
@@ -63,12 +64,16 @@ fuzz-short:
 # history entry — keyed by git SHA and date — to $(BENCH_OUT), so the
 # committed file accumulates a timeline across revisions. The
 # micro-benchmarks get a large fixed iteration count so the lazily
-# built radio tables amortize out; the Fig8 and engine runs are
-# seconds per iteration, so a couple suffice.
+# built radio tables amortize out (the F8-load kernel churn and
+# carrier-sense benchmarks take well under a microsecond per op, so
+# they get a million); the Fig8 and engine runs are seconds per
+# iteration, so a couple suffice.
 bench: build
 	@rm -f bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
 		-benchmem -benchtime 2000x . | tee bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelTimerChurn|BenchmarkMediumBusy' \
+		-benchmem -benchtime 1000000x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometryBuild' \
 		-benchmem -benchtime 20x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode' \

@@ -12,6 +12,7 @@ package mnp
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -372,7 +373,103 @@ func BenchmarkKernelSchedule(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t := k.MustSchedule(time.Microsecond, fn)
 			t.Cancel()
-			k.Step() // reaps the cancelled event
+			k.Step() // no-op: Cancel already removed the event
 		}
 	})
+}
+
+// BenchmarkKernelTimerChurn measures the kernel at the load a Figure 8
+// run puts on it, which a depth-1 queue cannot show: about 340 live
+// events, each firing re-arms its own node's timer after a short delay
+// (backoffs, frame ends), and 3 in 7 firings also reset another node's
+// timer to a long delay (like MNP's download watchdog, re-armed on every
+// data packet), so 30% of all schedules end in a cancel. One op
+// is one fired event; the "queued" metric is the heap depth at the
+// end, which is the live count when cancels leave the heap at once.
+func BenchmarkKernelTimerChurn(b *testing.B) {
+	const nodes = 340
+	k := sim.New(1)
+	rng := rand.New(rand.NewSource(1))
+	// Pre-drawn delays and reset choices keep the RNG off the timed
+	// path.
+	const draws = 4096
+	short := make([]time.Duration, draws)
+	long := make([]time.Duration, draws)
+	resets := make([]int, draws)
+	for i := range resets {
+		short[i] = time.Millisecond + time.Duration(rng.Int63n(int64(100*time.Millisecond)))
+		long[i] = time.Second + time.Duration(rng.Int63n(int64(30*time.Second)))
+		resets[i] = -1
+		if rng.Intn(7) < 3 {
+			resets[i] = rng.Intn(nodes)
+		}
+	}
+	timers := make([]sim.Timer, nodes)
+	fns := make([]func(), nodes)
+	draw := 0
+	for n := range fns {
+		n := n
+		fns[n] = func() {
+			d := draw % draws
+			draw++
+			if r := resets[d]; r >= 0 && r != n {
+				timers[r].Cancel()
+				timers[r] = k.MustSchedule(long[d], fns[r])
+			}
+			timers[n] = k.MustSchedule(short[d], fns[n])
+		}
+	}
+	for n := range fns {
+		timers[n] = k.MustSchedule(short[n], fns[n])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(k.Pending()), "queued")
+}
+
+// BenchmarkMediumBusy measures one carrier-sense query on the 20x20
+// Figure 8 grid at simulation power (about 20 audible neighbors per
+// transmitter) while 1, 8, or 32 frames are in the air. One op is one
+// Busy call; the queried node cycles over the whole grid.
+func BenchmarkMediumBusy(b *testing.B) {
+	for _, active := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("active=%d", active), func(b *testing.B) {
+			k := sim.New(1)
+			layout, err := topology.Grid(20, 20, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := radio.NewMedium(k, layout, radio.DefaultParams(), 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := layout.N()
+			for i := 0; i < n; i++ {
+				m.SetRadio(packet.NodeID(i), true)
+			}
+			for j := 0; j < active; j++ {
+				src := packet.NodeID(j * 37 % n) // spread across the grid
+				pkt := &packet.Advertise{Src: src, ProgramID: 1, ProgramSegments: 5, SegID: 1, SegNominal: 128, TotalPackets: 640}
+				if _, err := m.Transmit(src, pkt, radio.PowerSim); err != nil {
+					b.Fatal(err)
+				}
+			}
+			busy := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m.Busy(packet.NodeID(i % n)) {
+					busy++
+				}
+			}
+			b.StopTimer()
+			if busy == 0 {
+				b.Fatal("no node sensed a busy carrier")
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -359,14 +360,23 @@ type queuedFrame struct {
 	power int
 }
 
+// Send's refusals. They are package-level values, not formatted per
+// call: protocols send on every hot path and drop refused frames, so an
+// allocated error per refusal would be pure garbage.
+var (
+	ErrDead      = errors.New("node: dead")
+	ErrQueueFull = errors.New("node: MAC queue full")
+)
+
 // Send implements Runtime: enqueue for CSMA transmission at the
-// current transmit power.
+// current transmit power. It returns ErrDead or ErrQueueFull when the
+// frame is refused.
 func (n *Node) Send(p packet.Packet) error {
 	if n.dead {
-		return fmt.Errorf("node %v: dead", n.id)
+		return ErrDead
 	}
 	if len(n.queue) >= n.cfg.QueueCap {
-		return fmt.Errorf("node %v: MAC queue full", n.id)
+		return ErrQueueFull
 	}
 	n.queue = append(n.queue, queuedFrame{pkt: p, power: n.txPower})
 	if !n.sending {
@@ -415,7 +425,12 @@ func (n *Node) attempt() {
 		n.scheduleAttempt(n.congestionBackoff())
 		return
 	}
-	n.queue = n.queue[1:]
+	// Shift in place rather than reslicing past the head, so the
+	// queue's backing array is reused and later Sends never reallocate.
+	last := len(n.queue) - 1
+	copy(n.queue, n.queue[1:])
+	n.queue[last] = queuedFrame{}
+	n.queue = n.queue[:last]
 	n.kernel.MustSchedule(air+interFrameGap, n.afterTxFn)
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -163,8 +164,46 @@ func TestQueueCapEnforced(t *testing.T) {
 	for i := 0; i < DefaultQueueCap+1; i++ {
 		err = r.nodes[0].Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1})
 	}
-	if err == nil {
-		t.Fatal("queue overfill accepted")
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("queue overfill: Send = %v, want ErrQueueFull", err)
+	}
+}
+
+// Dequeuing shifts the MAC queue in place: once the backing array has
+// grown to the burst size, a send/drain cycle allocates no new one.
+func TestQueueDequeueReusesBackingArray(t *testing.T) {
+	r := newRig(t, 2, 10)
+	r.nodes[0].RadioOn()
+	r.nodes[1].RadioOn()
+	burst := func(base int) {
+		for i := 0; i < 4; i++ {
+			d := &packet.Data{Src: 0, ProgramID: 1, SegID: 1, PacketID: uint8(base + i), Payload: []byte{1}}
+			if err := r.nodes[0].Send(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.k.Run(r.k.Now() + time.Minute)
+	}
+	head := func() *queuedFrame {
+		q := r.nodes[0].queue
+		if cap(q) == 0 {
+			t.Fatal("drained MAC queue kept no backing array")
+		}
+		return &q[:1][0]
+	}
+	burst(0)
+	array := head()
+	burst(4)
+	if head() != array {
+		t.Fatal("MAC queue reallocated its backing array across a send/drain cycle")
+	}
+	for i, p := range r.protos[1].packets {
+		if d := p.(*packet.Data); int(d.PacketID) != i {
+			t.Fatalf("out of order: got packet %d at position %d", d.PacketID, i)
+		}
+	}
+	if len(r.protos[1].packets) != 8 {
+		t.Fatalf("delivered %d, want 8", len(r.protos[1].packets))
 	}
 }
 
@@ -220,8 +259,8 @@ func TestKillSilencesNode(t *testing.T) {
 	if !r.nodes[0].Dead() {
 		t.Fatal("Dead = false")
 	}
-	if err := r.nodes[0].Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err == nil {
-		t.Fatal("dead node accepted Send")
+	if err := r.nodes[0].Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); !errors.Is(err, ErrDead) {
+		t.Fatalf("dead node: Send = %v, want ErrDead", err)
 	}
 	r.nodes[0].SetTimer(2, time.Millisecond)
 	r.k.Run(time.Second)

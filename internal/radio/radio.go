@@ -146,6 +146,9 @@ type nodeState struct {
 	txEnd     time.Duration
 	everTx    bool
 	destroyed bool
+	// heardUntil is the latest end among frames this node sent or was
+	// in the audible list of: its carrier is busy while now < heardUntil.
+	heardUntil time.Duration
 }
 
 // transmission is one frame in the air. full, ber, and deliver are
@@ -165,6 +168,10 @@ type transmission struct {
 	// aligned with it.
 	full []packet.NodeID
 	ber  []float64
+	// succ, when non-nil, is aligned with full and holds each
+	// receiver's frame success probability (1-ber)^bits for this
+	// frame's size, memoized on the link row.
+	succ []float64
 	// deliver indexes into full the receivers this medium owns and so
 	// delivers to; nil means all of them (the unsharded case).
 	deliver []int32
@@ -184,8 +191,6 @@ func (t *transmission) posOf(id packet.NodeID) int {
 	}
 	return -1
 }
-
-func (t *transmission) isAudible(id packet.NodeID) bool { return t.posOf(id) >= 0 }
 
 // deliverLen returns how many receivers this medium delivers to.
 func (t *transmission) deliverLen() int {
@@ -386,15 +391,57 @@ type linkRow struct {
 	// deliver indexes the receivers this medium owns; nil = all
 	// (unsharded).
 	deliver []int32
-	// boundary marks that some audible receiver is owned by another
-	// shard, so frames from this source must be exported as ghosts.
-	boundary bool
 	// stamp is the geometry's regionStamp over the row's coverage disc
 	// at build time; a mismatch on lookup means the source or its
 	// audible set moved and the row must be rebuilt.
 	stamp uint64
+	// succ memoizes per-receiver frame success probabilities, one
+	// entry per frame size seen (a protocol sends only a handful). A
+	// single pointer keeps linkRow in the 128-byte size class: mobility
+	// rebuilds tens of thousands of rows per run, and every byte added
+	// here is allocated again on each rebuild.
+	succ *succMemo
 
 	prev, next *linkRow // LRU list, most recent at head
+}
+
+// boundary reports whether some audible receiver is owned by another
+// shard, so frames from this source must be exported as ghosts.
+func (row *linkRow) boundary() bool {
+	return row.deliver != nil && len(row.deliver) < len(row.full)
+}
+
+// succMemo holds (1-ber[i])^(bytes*8) for every receiver i of a row,
+// for one frame size; next chains the row's other sizes.
+type succMemo struct {
+	bytes int
+	p     []float64
+	next  *succMemo
+}
+
+// successFor returns the row's per-receiver success probabilities for
+// frames of the given size, computing them on first use — the same
+// math.Pow the delivery loop would evaluate per receiver, so the floats
+// are identical. Only rows whose region never moved (stamp 0) are
+// memoized: under mobility rows are rebuilt thousands of times, and a
+// memo per rebuilt row would allocate more than the Pow calls it saves.
+// Nil means "compute per receiver".
+func (row *linkRow) successFor(bytes int) []float64 {
+	if row.stamp != 0 || len(row.full) == 0 {
+		return nil
+	}
+	for memo := row.succ; memo != nil; memo = memo.next {
+		if memo.bytes == bytes {
+			return memo.p
+		}
+	}
+	p := make([]float64, len(row.ber))
+	bits := float64(bytes * 8)
+	for i, ber := range row.ber {
+		p[i] = math.Pow(1-ber, bits)
+	}
+	row.succ = &succMemo{bytes: bytes, p: p, next: row.succ}
+	return p
 }
 
 // Medium is the shared wireless channel. It is driven entirely by the
@@ -590,8 +637,6 @@ func (m *Medium) linkRowFor(power int, src packet.NodeID) (*linkRow, error) {
 		for i, dst := range full {
 			if m.owned[dst] {
 				row.deliver = append(row.deliver, int32(i))
-			} else {
-				row.boundary = true
 			}
 		}
 	}
@@ -697,22 +742,29 @@ func (m *Medium) Owns(id packet.NodeID) bool {
 }
 
 // Busy reports whether node id's carrier sense detects an ongoing
-// transmission. A node hears a transmission if it is within the
-// transmitter's range.
+// transmission: its own, or one whose audible list includes it (a node
+// hears a transmission if it is within the transmitter's range). It is
+// an O(1) check of the node's carrier horizon. A frame ending after now
+// cannot have finished, so the horizon agrees with a scan of the active
+// frames, including at the instant a frame ends but its finish has not
+// run.
 func (m *Medium) Busy(id packet.NodeID) bool {
-	now := m.kernel.Now()
-	for _, t := range m.active {
-		if t.end <= now {
-			continue
-		}
-		if t.src == id {
-			return true
-		}
-		if t.isAudible(id) {
-			return true
-		}
+	return m.nodes[id].heardUntil > m.kernel.Now()
+}
+
+// hear raises the carrier horizon of t's transmitter and of every node
+// in its audible list to t's end.
+func (m *Medium) hear(t *transmission) {
+	m.nodes[t.src].hearUntil(t.end)
+	for _, r := range t.full {
+		m.nodes[r].hearUntil(t.end)
 	}
-	return false
+}
+
+func (st *nodeState) hearUntil(end time.Duration) {
+	if st.heardUntil < end {
+		st.heardUntil = end
+	}
 }
 
 // Transmitting reports whether node id is mid-transmission.
@@ -759,7 +811,7 @@ func (m *Medium) newTransmission() *transmission {
 // the borrowed row references. The collision set is re-dimensioned (and
 // thereby cleared) at next use.
 func (m *Medium) recycle(t *transmission) {
-	t.full, t.ber, t.deliver = nil, nil, nil
+	t.full, t.ber, t.succ, t.deliver = nil, nil, nil, nil
 	m.freeTx = append(m.freeTx, t)
 }
 
@@ -845,6 +897,7 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	// footprints and Busy cover the whole neighborhood.
 	t.full = row.full
 	t.ber = row.ber
+	t.succ = row.successFor(t.bytes)
 	t.deliver = row.deliver
 	t.rangeFt = row.rangeFt
 	t.corrupted.ResetCap(len(row.full))
@@ -857,6 +910,7 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 		}
 		m.collide(t, u)
 	}
+	m.hear(t)
 
 	st.txStart = now
 	st.txEnd = t.end
@@ -866,7 +920,7 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	if m.tap != nil {
 		m.tap(src, pkt, air)
 	}
-	if row.boundary {
+	if row.boundary() {
 		p := m.geo.pts[src]
 		m.outbox = append(m.outbox, Ghost{
 			Src:     src,
@@ -933,6 +987,7 @@ func (m *Medium) InsertGhost(g Ghost) error {
 	t.end = g.End
 	t.full = row.full
 	t.ber = row.ber
+	t.succ = row.successFor(t.bytes)
 	t.deliver = row.deliver
 	t.rangeFt = row.rangeFt
 	t.corrupted.ResetCap(len(row.full))
@@ -944,6 +999,7 @@ func (m *Medium) InsertGhost(g Ghost) error {
 		}
 		m.collide(t, u)
 	}
+	m.hear(t)
 	m.active = append(m.active, t)
 	if _, err := m.kernel.ScheduleAt(t.end, t.finishFn); err != nil {
 		return fmt.Errorf("radio: ghost from %v: %w", g.Src, err)
@@ -1007,7 +1063,12 @@ func (m *Medium) finish(t *transmission) {
 			m.sink.FrameCollided(r, t.src, t.kind)
 			continue
 		}
-		p := math.Pow(1-t.ber[fi], float64(t.bytes*8))
+		var p float64
+		if t.succ != nil {
+			p = t.succ[fi]
+		} else {
+			p = math.Pow(1-t.ber[fi], float64(t.bytes*8))
+		}
 		if m.kernel.Rand().Float64() >= p {
 			continue // channel bit errors
 		}

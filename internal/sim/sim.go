@@ -77,23 +77,28 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired and cancelled events are recycled through a free list, so a
 // Timer remembers the generation of the event it was issued for and
 // quietly expires when the event's slot is reused — a stale handle can
-// never cancel someone else's event.
+// never cancel someone else's event. An event's generation is bumped
+// the moment it leaves the heap (fired or cancelled), so a matching
+// generation means exactly "still queued".
 type Timer struct {
 	ev  *event
 	gen uint64
 }
 
-// Cancel prevents the timer's callback from running. Cancelling an
+// Cancel prevents the timer's callback from running, removing the
+// event from the heap at once and recycling its slot. Cancelling an
 // already-fired or already-cancelled timer is a no-op.
 func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen {
-		t.ev.cancelled = true
+	if ev := t.ev; ev != nil && ev.gen == t.gen {
+		k := ev.k
+		k.removeAt(ev.idx)
+		k.recycle(ev)
 	}
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled && !t.ev.fired
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
@@ -133,18 +138,17 @@ func (k *Kernel) at(when time.Duration, fn func()) Timer {
 		ev = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		ev.cancelled, ev.fired = false, false
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn = when, k.seq, fn
+	ev.at, ev.seq, ev.fn, ev.k = when, k.seq, fn, k
 	k.seq++
 	k.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// recycle returns a popped event to the free list, bumping its
-// generation so stale Timer handles expire.
+// recycle returns an event that left the heap (popped or cancelled) to
+// the free list, bumping its generation so stale Timer handles expire.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -154,20 +158,15 @@ func (k *Kernel) recycle(ev *event) {
 // Step executes the next pending event. It returns false when the
 // queue is empty.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		ev := k.pop()
-		if ev.cancelled {
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		ev.fired = true
-		fn := ev.fn
-		k.recycle(ev)
-		fn()
-		return true
+	if len(k.queue) == 0 {
+		return false
 	}
-	return false
+	ev := k.removeAt(0)
+	k.now = ev.at
+	fn := ev.fn
+	k.recycle(ev)
+	fn()
+	return true
 }
 
 // Stop makes the current Run return after the executing event
@@ -257,30 +256,29 @@ func (k *Kernel) RunUntil(pred func() bool, limit time.Duration) bool {
 	return false
 }
 
-// Pending returns the number of events waiting (including cancelled
-// ones not yet reaped).
+// Pending returns the number of events waiting to run. Cancelled
+// events leave the heap immediately, so this is the live count.
 func (k *Kernel) Pending() int { return len(k.queue) }
 
 func (k *Kernel) peek() (time.Duration, bool) {
-	for len(k.queue) > 0 {
-		ev := k.queue[0]
-		if ev.cancelled {
-			k.pop()
-			k.recycle(ev)
-			continue
-		}
-		return ev.at, true
+	if len(k.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.queue[0].at, true
 }
 
+// event is one heap entry. k and idx let Timer.Cancel remove the event
+// from its kernel's heap in O(log n), so the heap holds live events
+// only: on a dissemination run about 30% of all schedules are cancelled
+// timers, mostly far in the future, and left queued they would grow the
+// heap about tenfold.
 type event struct {
-	at        time.Duration
-	seq       uint64
-	gen       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
+	at  time.Duration
+	seq uint64
+	gen uint64
+	fn  func()
+	k   *Kernel
+	idx int // position in k.queue while queued
 }
 
 // before orders events by (time, insertion sequence) so equal-time
@@ -295,63 +293,82 @@ func (e *event) before(f *event) bool {
 }
 
 // eventHeap is a 4-ary min-heap of events. Quad-ary beats binary here:
-// the tree is half as deep, sift-down touches fewer cache lines, and
-// the kernel pops exactly as many events as it pushes. The sift
-// routines move a hole instead of swapping, and are inlined free of
+// the tree is half as deep and sift-down touches fewer cache lines. The
+// sift routines move a hole instead of swapping, are inlined free of
 // interface calls — container/heap was the top CPU cost of a 400-node
-// run.
+// run — and keep every moved event's idx current for removal.
 type eventHeap []*event
 
 // push inserts ev, sifting the hole up from the new leaf.
 func (k *Kernel) push(ev *event) {
-	q := append(k.queue, ev)
-	i := len(q) - 1
+	k.queue = append(k.queue, nil)
+	k.siftUp(len(k.queue)-1, ev)
+}
+
+// removeAt removes and returns the event at heap position i (0 pops
+// the minimum), filling the hole with the last leaf and sifting it
+// whichever way restores the heap.
+func (k *Kernel) removeAt(i int) *event {
+	q := k.queue
+	n := len(q) - 1
+	ev := q[i]
+	last := q[n]
+	q[n] = nil
+	k.queue = q[:n]
+	if i < n {
+		if i > 0 && last.before(q[(i-1)>>2]) {
+			k.siftUp(i, last)
+		} else {
+			k.siftDown(i, last)
+		}
+	}
+	return ev
+}
+
+// siftUp moves the hole at i toward the root until ev fits, then
+// places ev there.
+func (k *Kernel) siftUp(i int, ev *event) {
+	q := k.queue
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !ev.before(q[p]) {
 			break
 		}
 		q[i] = q[p]
+		q[i].idx = i
 		i = p
 	}
 	q[i] = ev
-	k.queue = q
+	ev.idx = i
 }
 
-// pop removes and returns the minimum event, sifting the displaced
-// last leaf down from the root.
-func (k *Kernel) pop() *event {
+// siftDown moves the hole at i toward the leaves until ev fits, then
+// places ev there.
+func (k *Kernel) siftDown(i int, ev *event) {
 	q := k.queue
-	n := len(q) - 1
-	min := q[0]
-	last := q[n]
-	q[n] = nil
-	q = q[:n]
-	k.queue = q
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
+	n := len(q)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
 		}
-		q[i] = last
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i] = q[m]
+		q[i].idx = i
+		i = m
 	}
-	return min
+	q[i] = ev
+	ev.idx = i
 }

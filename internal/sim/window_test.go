@@ -122,7 +122,7 @@ func TestNextEventAtIsNonDestructive(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Fatalf("peeking consumed events: %d pending", k.Pending())
 	}
-	// A cancelled head is reaped, not reported.
+	// A cancelled head is never reported.
 	tm := k.MustSchedule(time.Millisecond, func() {})
 	tm.Cancel()
 	if at, ok := k.NextEventAt(); !ok || at != 7*time.Millisecond {
