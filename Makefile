@@ -33,9 +33,17 @@ race-short:
 # static zero-cost check), the optimistic suite (speculation-vs-lockstep
 # equivalence across lookahead depths and worker counts, chaos under
 # rollback, the speculation counters), and the sharded + mobile golden
-# hashes (shards=4, workers 1 and 4, optimism off and on).
+# hashes (shards=4, workers 1 and 4, optimism off and on). The engine
+# package runs twice: once at the host's GOMAXPROCS, where the lockstep
+# barrier spins before it parks whenever the executors of every engine
+# in the process fit in GOMAXPROCS, and once at GOMAXPROCS=1, where every barrier wait parks at once —
+# hosted runners have two or more cores, so without that line they
+# would only exercise the spin path. -count=1 keeps the second pass
+# from replaying the first one's cached result: the test cache does not
+# key on GOMAXPROCS.
 race-engine:
 	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/checkpoint/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/
 	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility|TestOptimistic'
 	$(GO) test -race . -run 'TestShardedRunMatchesGolden|TestMobileRunMatchesGolden'
 
@@ -88,8 +96,10 @@ bench: build
 	@echo "appended to $(BENCH_OUT)"
 
 # bench-smoke is the CI-sized slice of `make bench`: the tiled
-# engine-grid series (2x2, 4x4, 4x4 with the repartitioner) plus the
-# optimistic series (speculative execution at workers 1, 2, 4 with a
+# engine-grid series (2x2; 2x2 on two executors at 1 and 2 workers,
+# the worker curve; the same at 2 workers with one engine per processor
+# at once; 4x4; 4x4 with the repartitioner; 4x4 mobile) plus
+# the optimistic series (speculative execution at workers 1, 2, 4 with a
 # conservative baseline), one iteration per config, appended to the
 # same SHA-keyed $(BENCH_OUT) history. The tiled lines carry the custom
 # "imbalance" metric and the optimistic lines "rollback-rate" and

@@ -13,7 +13,9 @@ package mnp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,34 +243,46 @@ func BenchmarkEngineGrid(b *testing.B) {
 		})
 	}
 	// Tiled series: the same 3600-node dissemination on explicit 2D
-	// tile grids, all at four executors, with and without the adaptive
-	// repartitioner. Each run reports the mean per-window load
-	// imbalance (max/mean across executors, 1.0 is perfect) alongside
-	// the timing, so BENCH_sim.json records the balance curve the
-	// repartitioner is supposed to flatten. `make bench-smoke` runs
-	// just this series, one iteration per config.
+	// tile grids, at four executors unless a cell says otherwise, with
+	// and without the adaptive repartitioner. Each run reports the mean
+	// per-window load imbalance (max/mean across executors, 1.0 is
+	// perfect) alongside the timing, so BENCH_sim.json records the
+	// balance curve the repartitioner is supposed to flatten. `make
+	// bench-smoke` runs just this series, one iteration per config.
 	for _, tc := range []struct {
 		name       string
 		rows, cols int
 		repart     bool
 		mobile     bool
+		shards     int // executors; 0 means four
+		workers    int // 0 picks from the host CPU count
 	}{
-		{"tiles=2x2", 2, 2, false, false},
-		{"tiles=4x4", 4, 4, false, false},
-		{"tiles=4x4-repart", 4, 4, true, false},
+		{"tiles=2x2", 2, 2, false, false, 0, 0},
+		// The worker curve: the perfbench grid60-tiled shape (2x2 tiles
+		// on two executors) with executor 1 inline and on its own
+		// worker goroutine. Results are identical; only the barrier
+		// and the per-window executor imbalance separate the timings.
+		{"tiles=2x2-workers=1", 2, 2, false, false, 2, 1},
+		{"tiles=2x2-workers=2", 2, 2, false, false, 2, 2},
+		{"tiles=4x4", 4, 4, false, false, 0, 0},
+		{"tiles=4x4-repart", 4, 4, true, false, 0, 0},
 		// The mobile cell prices barrier-quantized position updates: a
 		// random-waypoint walk moves every node through the run, so each
 		// window pays index maintenance plus link-row invalidation on top
 		// of the static baseline above it.
-		{"tiles=4x4-mobile", 4, 4, false, true},
+		{"tiles=4x4-mobile", 4, 4, false, true, 0, 0},
 	} {
+		shards := tc.shards
+		if shards == 0 {
+			shards = 4
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var imbalance float64
 			for i := 0; i < b.N; i++ {
 				setup := experiment.Setup{
 					Name: "engine-grid-tiled", Rows: 60, Cols: 60, ImagePackets: 64,
-					Seed: 42 + int64(i), Shards: 4,
+					Seed: 42 + int64(i), Shards: shards, Workers: tc.workers,
 					TileRows: tc.rows, TileCols: tc.cols,
 					Repartition: tc.repart,
 					Limit:       12 * time.Hour,
@@ -293,6 +307,41 @@ func BenchmarkEngineGrid(b *testing.B) {
 			b.ReportMetric(imbalance, "imbalance")
 		})
 	}
+	// The worker-curve shape again, GOMAXPROCS engines at once, the way
+	// RunSeeds, campaigns and mnpexp -parallel fan out: the engines'
+	// executors outnumber the processors, so every barrier wait must
+	// park rather than spin on a processor another engine needs. Each
+	// iteration runs one engine per processor, on consecutive seeds.
+	b.Run("tiles=2x2-workers=2-engines=procs", func(b *testing.B) {
+		b.ReportAllocs()
+		n := runtime.GOMAXPROCS(0)
+		for i := 0; i < b.N; i++ {
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for j := range errs {
+				wg.Add(1)
+				go func(j int) {
+					defer wg.Done()
+					seed := 42 + int64(i*n+j)
+					res, err := experiment.Run(experiment.Setup{
+						Name: "engine-grid-tiled", Rows: 60, Cols: 60, ImagePackets: 64,
+						Seed: seed, Shards: 2, Workers: 2, TileRows: 2, TileCols: 2,
+						Limit: 12 * time.Hour,
+					})
+					if err == nil && !res.Completed {
+						err = fmt.Errorf("seed=%d: dissemination incomplete", seed)
+					}
+					errs[j] = err
+				}(j)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 	// Optimistic series: a 900-node 30x30 dissemination on a 2x2 tile
 	// grid with speculative window execution, swept across worker
 	// counts — the recorded multi-core scaling curve for optimistic

@@ -27,8 +27,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -88,8 +90,9 @@ type Config struct {
 	Window time.Duration
 	// Workers selects the execution mode: <= 1 runs the tiles inline
 	// on the calling goroutine (same results, no goroutines — the right
-	// mode on a single-CPU host); anything larger runs one goroutine
-	// per executor. 0 picks inline when the process has one CPU.
+	// mode on a single-CPU host); anything larger runs executor 0 on
+	// the calling goroutine and one worker goroutine for each further
+	// executor. 0 picks inline when the process has one CPU.
 	Workers int
 	// Shards is the number of logical executors the tiles are assigned
 	// to. 0 defaults to one executor per tile (the PR 4 strip engine's
@@ -208,9 +211,8 @@ type Engine struct {
 	replayNow time.Duration
 
 	// nExec logical executors advance the tiles; asn[tile] is the
-	// owning executor. asn is only ever written at barriers (with
-	// worker goroutines parked on their command channels), so executor
-	// goroutines read it race-free.
+	// owning executor. asn is only ever written at barriers, between
+	// rounds, so executor goroutines read it race-free (barrier.go).
 	nExec int
 	asn   []int
 
@@ -223,16 +225,18 @@ type Engine struct {
 	tileEvents    []int64
 	tileDelivered []int64
 	lastDelivered []uint64
-	execWaitNs    []int64         // per-executor barrier wait this period
-	execElapsed   []time.Duration // scratch: per-executor window wall time
+	execWaitNs    []int64 // per-executor barrier wait this period
 	periodWindows int
 
 	stats Stats
 
-	// cmd/done carry the per-window barrier protocol to the executor
-	// goroutines; both are nil in inline mode.
-	cmd  []chan execCmd
-	done chan execDone
+	// bar is the round protocol with the worker goroutines while
+	// RunUntil runs in parallel mode; nil in inline mode.
+	bar *barrier
+
+	// routed is the exchange's scratch: the drained ghosts of one
+	// barrier, tagged with their source tile.
+	routed []routed
 
 	// Optimistic-mode state (see optimistic.go). Per-tile slices are
 	// written only by the tile's owning executor between barriers and
@@ -260,16 +264,12 @@ const (
 	opRun       execOp = iota // conservative window: run to the barrier
 	opSpeculate               // checkpoint, then run to the horizon
 	opRollback                // restore, then replay to the commit barrier
+	opStop                    // worker goroutines exit
 )
 
 type execCmd struct {
 	op execOp
 	to time.Duration
-}
-
-type execDone struct {
-	exec    int
-	elapsed time.Duration
 }
 
 // New builds an engine over the given shards. Shards must own disjoint
@@ -311,7 +311,6 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 		tileDelivered: make([]int64, len(shards)),
 		lastDelivered: make([]uint64, len(shards)),
 		execWaitNs:    make([]int64, nExec),
-		execElapsed:   make([]time.Duration, nExec),
 	}
 	// Initial assignment: contiguous tile blocks per executor. With one
 	// tile per executor (the legacy strip shape) this is the identity.
@@ -497,28 +496,23 @@ func (e *Engine) advanceShards(next time.Duration) {
 }
 
 // runRound has every executor run one command against each of its
-// tiles, inline or via the worker goroutines, and waits for all of
-// them — the barrier the whole lockstep design hangs on.
+// tiles, inline or with the worker goroutines, and waits for all of
+// them — the barrier the whole lockstep design hangs on. In parallel
+// mode the coordinator is executor 0.
 func (e *Engine) runRound(cmd execCmd) {
-	if e.cmd == nil {
+	b := e.bar
+	if b == nil {
 		for ti := range e.shards {
 			e.execTile(cmd.op, ti, cmd.to)
 		}
 		return
 	}
-	for _, c := range e.cmd {
-		c <- cmd
-	}
-	var slowest time.Duration
-	for i := 0; i < e.nExec; i++ {
-		d := <-e.done
-		e.execElapsed[d.exec] = d.elapsed
-		if d.elapsed > slowest {
-			slowest = d.elapsed
-		}
-	}
+	round := b.publish(cmd, e.nExec-1)
+	b.elapsed[0] = e.runExecutor(0, cmd)
+	b.coord.wait(round, b.spin(), func() bool { return b.left.Load() == 0 })
 	if e.rep != nil || e.onLoad != nil {
-		for x, el := range e.execElapsed {
+		slowest := slices.Max(b.elapsed)
+		for x, el := range b.elapsed {
 			e.execWaitNs[x] += int64(slowest - el)
 		}
 	}
@@ -551,29 +545,22 @@ func (e *Engine) execTile(op execOp, ti int, to time.Duration) {
 // lower-bounds the sender's distance to every node in the tile, and an
 // insertion it skips would have been a no-op (no audible receivers).
 func (e *Engine) exchange() {
-	type routed struct {
-		g    radio.Ghost
-		from int
-	}
-	var all []routed
+	all := e.routed[:0]
 	for i, sh := range e.shards {
 		for _, g := range sh.Medium.TakeOutbox() {
 			all = append(all, routed{g: g, from: i})
 		}
 	}
+	e.routed = all
 	if len(all) == 0 {
 		return
 	}
 	e.stats.GhostsExported += int64(len(all))
-	sort.Slice(all, func(a, b int) bool {
-		ga, gb := all[a].g, all[b].g
-		if ga.Start != gb.Start {
-			return ga.Start < gb.Start
-		}
-		if ga.Src != gb.Src {
-			return ga.Src < gb.Src
-		}
-		return ga.Seq < gb.Seq
+	slices.SortFunc(all, func(a, b routed) int {
+		return cmp.Or(
+			cmp.Compare(a.g.Start, b.g.Start),
+			cmp.Compare(a.g.Src, b.g.Src),
+			cmp.Compare(a.g.Seq, b.g.Seq))
 	})
 	for _, r := range all {
 		for j, sh := range e.shards {
@@ -590,6 +577,12 @@ func (e *Engine) exchange() {
 			}
 		}
 	}
+}
+
+// routed is a drained ghost tagged with the tile it came from.
+type routed struct {
+	g    radio.Ghost
+	from int
 }
 
 // endWindow closes a lockstep window: counts it, and at the end of
@@ -643,8 +636,8 @@ func (e *Engine) endWindow() {
 
 // repartition re-packs tiles onto executors when the deterministic
 // per-executor load skew (max/mean of kernel events + deliveries this
-// period) exceeds the threshold. It runs at a barrier with every
-// executor goroutine parked, and only rewrites the tile→executor
+// period) exceeds the threshold. It runs at a barrier, between rounds,
+// and only rewrites the tile→executor
 // assignment — no kernel, medium, node, or RNG state moves — so it
 // cannot affect simulation results. Returns the number of tiles moved.
 func (e *Engine) repartition() int {
@@ -781,44 +774,5 @@ func (e *Engine) replayBuffers() {
 	}
 	for _, b := range e.buffers {
 		b.recs = b.recs[:0]
-	}
-}
-
-// --- worker machinery ---
-
-// startWorkers spawns one goroutine per logical executor. Each window,
-// an executor advances exactly the tiles the current assignment gives
-// it; the assignment is only rewritten at barriers while every
-// executor is parked on its command channel, so the channel send
-// establishes the happens-before edge that makes asn reads race-free.
-// Per-tile event counters are written only by the owning executor and
-// read only at barriers, for the same reason.
-func (e *Engine) startWorkers() (stop func()) {
-	if e.workers <= 1 || len(e.shards) == 1 || e.nExec == 1 {
-		return func() {}
-	}
-	e.cmd = make([]chan execCmd, e.nExec)
-	e.done = make(chan execDone, e.nExec)
-	for x := 0; x < e.nExec; x++ {
-		c := make(chan execCmd)
-		e.cmd[x] = c
-		go func(me int) {
-			for cmd := range c {
-				start := time.Now()
-				for ti := range e.shards {
-					if e.asn[ti] != me {
-						continue
-					}
-					e.execTile(cmd.op, ti, cmd.to)
-				}
-				e.done <- execDone{exec: me, elapsed: time.Since(start)}
-			}
-		}(x)
-	}
-	return func() {
-		for _, c := range e.cmd {
-			close(c)
-		}
-		e.cmd, e.done = nil, nil
 	}
 }

@@ -183,7 +183,8 @@ type Setup struct {
 	Shards int
 	// Workers bounds the sharded engine's parallelism: <= 1 advances
 	// shards inline on the calling goroutine (identical results, no
-	// goroutines), anything larger runs one goroutine per executor, and
+	// goroutines), anything larger runs executor 0 on the calling
+	// goroutine and one worker goroutine for each further executor, and
 	// 0 picks a mode from the host CPU count. Ignored on the sequential
 	// path.
 	Workers int

@@ -99,6 +99,47 @@ func TestShardGhostCarriesRouting(t *testing.T) {
 	}
 }
 
+// TestTakeOutboxReusesBacking: a drained outbox keeps its backing
+// array, so the next boundary frame lands in the same storage instead
+// of regrowing it every window — while ghost values the caller copied
+// out, and their frames, stay intact for insertion.
+func TestTakeOutboxReusesBacking(t *testing.T) {
+	layout, err := topology.Grid(2, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.New(1)
+	geo, err := NewGeometry(layout, cleanParams(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA, err := NewShardMedium(k, geo, []packet.NodeID{0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA.SetRadio(0, true)
+	if _, err := mA.Transmit(0, adv(0), PowerSim); err != nil {
+		t.Fatal(err)
+	}
+	first := mA.TakeOutbox()
+	if len(first) != 1 {
+		t.Fatalf("got %d ghosts, want 1", len(first))
+	}
+	kept := first[0]
+	frame := append([]byte(nil), kept.Frame...)
+	k.Run(time.Second)
+	if _, err := mA.Transmit(0, adv(0), PowerSim); err != nil {
+		t.Fatal(err)
+	}
+	second := mA.TakeOutbox()
+	if len(second) != 1 || &second[0] != &first[0] {
+		t.Fatal("second boundary frame did not reuse the drained outbox's backing array")
+	}
+	if kept.Seq == second[0].Seq || string(kept.Frame) != string(frame) {
+		t.Fatal("a copied-out ghost changed when the outbox was reused")
+	}
+}
+
 // TestDeliveriesCountsOnlySuccess: the delivery counter the
 // repartitioner reads must track successful receptions, not attempts —
 // an out-of-range transmission moves nothing.

@@ -942,10 +942,12 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 
 // TakeOutbox drains and returns the boundary frames transmitted since
 // the last call, in transmit order. The engine calls it at each window
-// barrier.
+// barrier. The medium reuses the returned slice's backing array for
+// later boundary frames, so it is valid only until the next Transmit;
+// callers copy what they keep (InsertGhost copies the Ghost value).
 func (m *Medium) TakeOutbox() []Ghost {
 	out := m.outbox
-	m.outbox = nil
+	m.outbox = out[:0]
 	return out
 }
 
