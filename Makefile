@@ -30,10 +30,8 @@ race-short:
 # repartitioning equivalence matrix, tiled chaos, repartition during
 # fault windows, observer-replay ordering under migration), the
 # mobility suite (the mobile equivalence matrix, churn chaos, and the
-# static zero-cost check), the optimistic suite (speculation-vs-lockstep
-# equivalence across lookahead depths and worker counts, chaos under
-# rollback, the speculation counters), and the sharded + mobile golden
-# hashes (shards=4, workers 1 and 4, optimism off and on). The engine
+# static zero-cost check), and the sharded + mobile golden hashes
+# (shards=4, workers 1 and 4). The engine
 # package runs twice: once at the host's GOMAXPROCS, where the lockstep
 # barrier spins before it parks whenever the executors of every engine
 # in the process fit in GOMAXPROCS, and once at GOMAXPROCS=1, where every barrier wait parks at once —
@@ -42,9 +40,9 @@ race-short:
 # from replaying the first one's cached result: the test cache does not
 # key on GOMAXPROCS.
 race-engine:
-	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/checkpoint/
+	$(GO) test -race ./internal/engine/ ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/
-	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility|TestOptimistic'
+	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility'
 	$(GO) test -race . -run 'TestShardedRunMatchesGolden|TestMobileRunMatchesGolden'
 
 vet:
@@ -64,6 +62,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexMoves' -fuzztime $(FUZZTIME) ./internal/topology/
 	$(GO) test -run '^$$' -fuzz 'FuzzTilePartition' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
+	$(GO) test -run '^$$' -fuzz 'FuzzGossip' -fuzztime $(FUZZTIME) ./internal/gossip/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelOps' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # bench runs the simulation-substrate micro-benchmarks plus the
@@ -98,16 +97,13 @@ bench: build
 # bench-smoke is the CI-sized slice of `make bench`: the tiled
 # engine-grid series (2x2; 2x2 on two executors at 1 and 2 workers,
 # the worker curve; the same at 2 workers with one engine per processor
-# at once; 4x4; 4x4 with the repartitioner; 4x4 mobile) plus
-# the optimistic series (speculative execution at workers 1, 2, 4 with a
-# conservative baseline), one iteration per config, appended to the
-# same SHA-keyed $(BENCH_OUT) history. The tiled lines carry the custom
-# "imbalance" metric and the optimistic lines "rollback-rate" and
-# "spec-depth", so every revision records balance and speculation
-# datapoints without paying for the full micro-benchmark sweep.
+# at once; 4x4; 4x4 with the repartitioner; 4x4 mobile), one iteration
+# per config, appended to the same SHA-keyed $(BENCH_OUT) history. The
+# lines carry the custom "imbalance" metric, so every revision records
+# a balance datapoint without paying for the full micro-benchmark sweep.
 bench-smoke: build
 	@rm -f bench-smoke.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/(tiles|optimistic)' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/tiles' \
 		-benchmem -benchtime 1x -timeout 40m . | tee bench-smoke.out
 	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench-smoke.out
 	@echo "appended to $(BENCH_OUT)"

@@ -72,8 +72,6 @@ func run(args []string) error {
 		shards   = fs.Int("shards", 1, "spatial shards per run, advanced in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
 		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto" for every run; default: -shards contiguous strips`)
 		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers")
-		optim    = fs.Bool("optimistic", false, "speculate windows ahead of the lockstep barrier, rolling back on late cross-tile traffic (needs an engine run)")
-		lookahd  = fs.Int("lookahead", 0, "speculation depth in windows for -optimistic (0 = engine default)")
 
 		telemetryDir = fs.String("telemetry", "", "write NDJSON events + Prometheus counters for a deployment run into this directory")
 		pprofAddr    = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
@@ -91,21 +89,13 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProf()
-	// Predefined specs fix everything but the seed; the shard count,
-	// tile grid, and repartitioner reach them through the package
-	// defaults.
-	experiment.SetDefaultShards(*shards)
-	tileRows, tileCols, tileAuto, err := experiment.ParseTileSpec(*tiles)
-	if err != nil {
+	// Predefined specs and -faults/-telemetry deployments fix
+	// everything but the seed; the shard count, tile grid, and
+	// repartitioner reach them through ec.
+	ec := experiment.EngineConfig{Shards: *shards, Repartition: *repart}
+	if ec.TileRows, ec.TileCols, ec.TileAuto, err = experiment.ParseTileSpec(*tiles); err != nil {
 		return err
 	}
-	if tileAuto {
-		experiment.SetDefaultTiles(-1, -1)
-	} else {
-		experiment.SetDefaultTiles(tileRows, tileCols)
-	}
-	experiment.SetDefaultRepartition(*repart)
-	experiment.SetDefaultOptimistic(*optim, *lookahd)
 	if *scenPath != "" {
 		if len(fs.Args()) > 0 {
 			return fmt.Errorf("-scenario runs its own deployment; drop the experiment IDs %v", fs.Args())
@@ -113,13 +103,16 @@ func run(args []string) error {
 		if *faultStr != "" || *telemetryDir != "" {
 			return fmt.Errorf("-scenario carries faults and telemetry in the file; drop -faults/-telemetry")
 		}
+		if ec != (experiment.EngineConfig{Shards: 1}) {
+			return fmt.Errorf("-scenario carries its engine in the file's [run] table; drop -shards/-tiles/-repartition")
+		}
 		return runScenario(*scenPath, *seeds, *workers, *progress)
 	}
 	if *faultStr != "" || *telemetryDir != "" {
 		if len(fs.Args()) > 0 {
 			return fmt.Errorf("-faults/-telemetry run their own deployment; drop the experiment IDs %v", fs.Args())
 		}
-		return runDeploy(*faultStr, *rows, *cols, *packets, *seed, *telemetryDir, *progress)
+		return runDeploy(*faultStr, ec, *rows, *cols, *packets, *seed, *telemetryDir, *progress)
 	}
 	if *list {
 		for _, s := range experiment.AllSpecs() {
@@ -128,7 +121,7 @@ func run(args []string) error {
 		return nil
 	}
 	if *csvDir != "" {
-		paths, err := experiment.WriteCSVs(*csvDir, *seed)
+		paths, err := experiment.WriteCSVs(*csvDir, *seed, ec)
 		if err != nil {
 			return err
 		}
@@ -152,6 +145,9 @@ func run(args []string) error {
 			}
 			specs = append(specs, s)
 		}
+	}
+	for i := range specs {
+		specs[i].Engine = ec
 	}
 	if *seeds != "" {
 		seedList, err := parseSeeds(*seeds)
@@ -222,7 +218,7 @@ func run(args []string) error {
 // every protocol invariant held. With telemetryDir set, the run also
 // streams NDJSON events and dumps the final counters in Prometheus
 // text format.
-func runDeploy(spec string, rows, cols, packets int, seed int64, telemetryDir string, progress bool) error {
+func runDeploy(spec string, ec experiment.EngineConfig, rows, cols, packets int, seed int64, telemetryDir string, progress bool) error {
 	var plan *faults.Plan
 	if spec != "" {
 		var err error
@@ -232,12 +228,12 @@ func runDeploy(spec string, rows, cols, packets int, seed int64, telemetryDir st
 		}
 		fmt.Println(plan)
 	}
-	setup := experiment.Setup{
+	setup := ec.Apply(experiment.Setup{
 		Name: "deploy", Rows: rows, Cols: cols, ImagePackets: packets,
 		Seed: seed, Limit: 12 * time.Hour,
 		Faults:     plan,
 		Invariants: &invariant.Config{},
-	}
+	})
 	return execDeploy(setup, telemetryDir, progress)
 }
 

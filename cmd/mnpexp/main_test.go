@@ -248,4 +248,41 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-seeds", ", ,", "T1"}); err == nil {
 		t.Error("empty seed list accepted")
 	}
+	// A scenario file chooses its own engine in its [run] table.
+	if err := run([]string{"-scenario", "x.toml", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "[run] table") {
+		t.Errorf("-scenario with -shards: err = %v, want the [run] table rejection", err)
+	}
+}
+
+// TestEngineFlagsReachSpecs checks that -shards/-tiles reach a
+// predefined spec on every run path: the single, -parallel, and -seeds
+// runs of the tiled F5 print the same report, and it is not the
+// sequential one.
+func TestEngineFlagsReachSpecs(t *testing.T) {
+	report := func(args ...string) string {
+		t.Helper()
+		out, err := capture(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		// Drop the "=== ID — title ===" headers, which differ by path.
+		var body []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "=== ") {
+				body = append(body, line)
+			}
+		}
+		return strings.Join(body, "\n")
+	}
+	seq := report("-seed", "3", "F5")
+	single := report("-tiles", "2x2", "-shards", "2", "-seed", "3", "F5")
+	if single == seq {
+		t.Fatal("-tiles 2x2 -shards 2 left the F5 report unchanged; the flags never reached the spec")
+	}
+	if par := report("-tiles", "2x2", "-shards", "2", "-seed", "3", "-parallel", "F5"); par != single {
+		t.Errorf("-parallel report differs from the single run:\n%s\nvs\n%s", par, single)
+	}
+	if seeds := report("-tiles", "2x2", "-shards", "2", "-seeds", "3", "F5"); seeds != single {
+		t.Errorf("-seeds report differs from the single run:\n%s\nvs\n%s", seeds, single)
+	}
 }

@@ -41,168 +41,6 @@ type Store struct {
 	// detected a bad page program). Fault injection installs it.
 	writeFault func(seg, pkt int) error
 	faults     int
-
-	// journal, when armed by Begin, records first-touch undo state so
-	// Rollback can rewind the store to the Begin point. The optimistic
-	// engine uses it as the store's checkpoint implementation: image
-	// payload bytes dominate per-node state, and a bounded journal of
-	// the few slots a speculation round touches is far cheaper than
-	// deep-copying the whole store (DESIGN.md §4l).
-	journal *journal
-}
-
-// journal is a first-touch undo log: each op stores the Begin-time
-// value of one location, recorded the first time the epoch touches it.
-// Restore therefore replays ops in forward order (headers before the
-// slots that live inside them) and is idempotent.
-type journal struct {
-	active bool
-	ops    []journalOp
-
-	// Scalar counters are snapshotted wholesale at Begin. The reads
-	// counter is deliberately not journaled: it has no accessor, so
-	// speculative reads are unobservable.
-	used, count, faults int
-	segsSaved           bool
-
-	// detached is set by Erase: once the Begin-time outer header is
-	// saved and the live store switches to fresh arrays, restoring that
-	// header alone recovers all pre-Erase state, and notes against the
-	// post-Erase arrays would corrupt it. detachedRows is the per-row
-	// analogue, set by EraseSegment: the saved row header carries the
-	// whole Begin-time row, and later slots in that segment are fresh
-	// state with no Begin-time value to note.
-	detached     bool
-	detachedRows []int
-}
-
-func (j *journal) rowDetached(seg int) bool {
-	if j.detached {
-		return true
-	}
-	for _, d := range j.detachedRows {
-		if d == seg {
-			return true
-		}
-	}
-	return false
-}
-
-type journalOp struct {
-	kind     uint8
-	seg, pkt int
-	prevSlot slot     // opSlot: deep copy (Write reuses slot backing)
-	prevRow  []slot   // opRow: row header at Begin
-	prevSegs [][]slot // opSegs: outer header at Begin
-}
-
-const (
-	opSegs uint8 = iota
-	opRow
-	opSlot
-)
-
-// Begin arms (or re-arms) the undo journal: a later Rollback rewinds
-// the store to this point. Stores with no journal armed pay one nil
-// check per write.
-func (s *Store) Begin() {
-	if s.journal == nil {
-		s.journal = &journal{}
-	}
-	j := s.journal
-	j.ops = j.ops[:0]
-	j.active = true
-	j.segsSaved = false
-	j.detached = false
-	j.detachedRows = j.detachedRows[:0]
-	j.used, j.count, j.faults = s.used, s.count, s.faults
-}
-
-// Commit discards the undo log, keeping the state written since Begin.
-func (s *Store) Commit() {
-	if s.journal != nil {
-		s.journal.ops = s.journal.ops[:0]
-		s.journal.active = false
-	}
-}
-
-// Rollback rewinds the store to the last Begin and disarms the journal.
-func (s *Store) Rollback() {
-	j := s.journal
-	if j == nil || !j.active {
-		return
-	}
-	// Headers before slots: slot values must land in the Begin-time
-	// backings, which the header passes reinstate first (a slot noted
-	// before its row later realloc'd would otherwise restore into the
-	// discarded new backing). Ops whose location is out of range after
-	// the header passes were created beyond the Begin-time structure and
-	// are hidden by it.
-	for i := range j.ops {
-		if j.ops[i].kind == opSegs {
-			s.segs = j.ops[i].prevSegs
-		}
-	}
-	for i := range j.ops {
-		op := &j.ops[i]
-		if op.kind == opRow && op.seg < len(s.segs) {
-			s.segs[op.seg] = op.prevRow
-		}
-	}
-	for i := range j.ops {
-		op := &j.ops[i]
-		if op.kind == opSlot && op.seg < len(s.segs) && op.pkt < len(s.segs[op.seg]) {
-			s.segs[op.seg][op.pkt] = op.prevSlot
-		}
-	}
-	s.used, s.count, s.faults = j.used, j.count, j.faults
-	j.ops = j.ops[:0]
-	j.active = false
-}
-
-// noteSegs records the outer header once per epoch.
-func (j *journal) noteSegs(s *Store) {
-	if j.segsSaved {
-		return
-	}
-	j.segsSaved = true
-	j.ops = append(j.ops, journalOp{kind: opSegs, prevSegs: s.segs})
-}
-
-// noteRow records seg's row header once per epoch. First touch always
-// sees the Begin-time value: every header mutation notes before it
-// mutates.
-func (j *journal) noteRow(s *Store, seg int) {
-	if j.detached {
-		return
-	}
-	for i := range j.ops {
-		if j.ops[i].kind == opRow && j.ops[i].seg == seg {
-			return
-		}
-	}
-	var row []slot
-	if seg < len(s.segs) {
-		row = s.segs[seg]
-	}
-	j.ops = append(j.ops, journalOp{kind: opRow, seg: seg, prevRow: row})
-}
-
-// noteSlot deep-copies (seg, pkt)'s current value once per epoch; the
-// caller ensures the slot exists. The copy is required because Write
-// reuses the slot's data backing in place.
-func (j *journal) noteSlot(s *Store, seg, pkt int) {
-	if j.rowDetached(seg) {
-		return
-	}
-	for i := range j.ops {
-		if j.ops[i].kind == opSlot && j.ops[i].seg == seg && j.ops[i].pkt == pkt {
-			return
-		}
-	}
-	sl := s.segs[seg][pkt]
-	sl.data = append([]byte(nil), sl.data...)
-	j.ops = append(j.ops, journalOp{kind: opSlot, seg: seg, pkt: pkt, prevSlot: sl})
 }
 
 // New returns a store with the given capacity in bytes.
@@ -234,28 +72,18 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 	}
 	if s.writeFault != nil {
 		if err := s.writeFault(seg, pkt); err != nil {
-			s.faults++ // journaled wholesale at Begin, no op needed
+			s.faults++
 			return err
 		}
-	}
-	j := s.journal
-	if j != nil && j.active && seg >= len(s.segs) {
-		j.noteSegs(s)
 	}
 	for seg >= len(s.segs) {
 		s.segs = append(s.segs, nil)
 	}
 	row := s.segs[seg]
-	if j != nil && j.active && pkt >= len(row) {
-		j.noteRow(s, seg)
-	}
 	for pkt >= len(row) {
 		row = append(row, slot{})
 	}
 	s.segs[seg] = row
-	if j != nil && j.active {
-		j.noteSlot(s, seg, pkt)
-	}
 	sl := &row[pkt]
 	prev := len(sl.data)
 	if s.used-prev+len(payload) > s.capacity {
@@ -327,12 +155,6 @@ func (s *Store) Slots() int { return s.count }
 // Erase drops all contents and counters, as the fail state does when a
 // node "releases EEPROM resource".
 func (s *Store) Erase() {
-	if j := s.journal; j != nil && j.active {
-		// Everything post-Erase lives in fresh arrays; the Begin-time
-		// outer header alone recovers pre-Erase state on rollback.
-		j.noteSegs(s)
-		j.detached = true
-	}
 	s.segs = nil
 	s.used = 0
 	s.count = 0
@@ -342,12 +164,6 @@ func (s *Store) Erase() {
 func (s *Store) EraseSegment(seg int) {
 	if seg < 0 || seg >= len(s.segs) {
 		return
-	}
-	if j := s.journal; j != nil && j.active {
-		j.noteRow(s, seg)
-		if !j.rowDetached(seg) {
-			j.detachedRows = append(j.detachedRows, seg)
-		}
 	}
 	row := s.segs[seg]
 	for i := range row {

@@ -211,7 +211,7 @@ func (e *Engine) runExecutor(x int, cmd execCmd) time.Duration {
 	start := time.Now()
 	for ti := range e.shards {
 		if e.asn[ti] == x {
-			e.execTile(cmd.op, ti, cmd.to)
+			e.execTile(ti, cmd.to)
 		}
 	}
 	return time.Since(start)

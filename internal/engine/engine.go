@@ -34,7 +34,6 @@ import (
 	"sort"
 	"time"
 
-	"mnp/internal/checkpoint"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
@@ -57,29 +56,6 @@ type Shard struct {
 	// because every potential receiver in the tile lies inside the box.
 	// Nil disables the prefilter (the ghost is offered everywhere).
 	Bounds *Rect
-
-	// Roots are additional checkpoint roots for optimistic execution:
-	// every object graph holding mutable per-tile simulation state that
-	// is not reachable from Kernel or Medium (the tile's nodes, fault
-	// RNGs hidden in closures). Ignored in conservative mode.
-	Roots []any
-
-	// Journals are per-tile components that implement their own
-	// bounded-journal checkpoint instead of being deep-copied (metrics
-	// collectors, per-node EEPROM stores): Begin is called at each
-	// speculation boundary, then Commit or Rollback. Ignored in
-	// conservative mode.
-	Journals []Journaled
-}
-
-// Journaled is a component with a bounded-journal checkpoint: Begin
-// arms an undo log, Rollback rewinds to the Begin point, Commit keeps
-// the changes and discards the log. eeprom.Store and metrics.Collector
-// satisfy it structurally.
-type Journaled interface {
-	Begin()
-	Commit()
-	Rollback()
 }
 
 // Config parameterizes the sharded engine.
@@ -112,17 +88,6 @@ type Config struct {
 	// repartitioner is off). Reports include wall-clock barrier wait
 	// per executor; the repartitioner itself never reads wall time.
 	OnLoad func(LoadReport)
-	// Optimistic enables speculative window execution: executors run up
-	// to Lookahead windows past the conservative bound, checkpoint at
-	// speculation boundaries, and roll back to the last ghost-free
-	// barrier when a boundary-crossing frame invalidates the
-	// speculation. Results are byte-identical to conservative mode
-	// (DESIGN.md §4l). Requires the caller to populate Shard.Roots and
-	// Shard.Journals with all per-tile mutable state.
-	Optimistic bool
-	// Lookahead is the maximum speculation depth in windows; 0 defaults
-	// to 8. Values below 2 are rejected (1 is conservative lockstep).
-	Lookahead int
 }
 
 // Repartition tunes the adaptive tile repartitioner.
@@ -166,15 +131,6 @@ type Stats struct {
 	GhostsOffered  int64 // ghost insertions attempted after bounds routing
 	Migrations     int64 // tiles moved between executors
 	Repartitions   int64 // barriers at which at least one tile moved
-
-	// Optimistic-mode counters (all zero in conservative mode). These
-	// too are deterministic for a fixed (seed, tile grid, lookahead),
-	// independent of worker count.
-	SpecRounds     int64 // speculation rounds entered
-	SpecWindows    int64 // windows entered speculatively
-	SpecCommitted  int64 // speculated windows committed
-	SpecRolledBack int64 // speculated windows rolled back and replayed
-	Rollbacks      int64 // rounds that experienced a rollback
 }
 
 // ConservativeWindow returns the largest safe lockstep window for a
@@ -237,23 +193,6 @@ type Engine struct {
 	// routed is the exchange's scratch: the drained ghosts of one
 	// barrier, tagged with their source tile.
 	routed []routed
-
-	// Optimistic-mode state (see optimistic.go). Per-tile slices are
-	// written only by the tile's owning executor between barriers and
-	// read only at barriers, like tileEvents.
-	optimistic bool
-	lookahead  int
-	coolOff    int    // rounds to run conservatively after a wasted round
-	onRollback func() // harness hook fired after every rollback
-
-	ckCfg    *checkpoint.Config
-	ckCtx    []*checkpoint.Context
-	ckRoots  [][]any
-	ckSnap   []*checkpoint.Snapshot
-	ckParked []bool // tile had no events before the horizon; not checkpointed
-	ckBufLen []int
-	ckBufSeq []uint64
-	specN    []int64 // events executed by the tile in the current round
 }
 
 // execOp is the per-round command an executor runs against each of its
@@ -261,10 +200,8 @@ type Engine struct {
 type execOp uint8
 
 const (
-	opRun       execOp = iota // conservative window: run to the barrier
-	opSpeculate               // checkpoint, then run to the horizon
-	opRollback                // restore, then replay to the commit barrier
-	opStop                    // worker goroutines exit
+	opRun  execOp = iota // run every tile to the barrier
+	opStop               // worker goroutines exit
 )
 
 type execCmd struct {
@@ -331,27 +268,6 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 	for i := range e.buffers {
 		e.buffers[i] = &Buffer{now: shards[i].Kernel.Now}
 	}
-	if cfg.Optimistic {
-		la := cfg.Lookahead
-		if la == 0 {
-			la = defaultLookahead
-		}
-		if la < 2 {
-			return nil, fmt.Errorf("engine: lookahead %d must be at least 2 (1 is conservative lockstep)", la)
-		}
-		e.optimistic = true
-		e.lookahead = la
-		n := len(shards)
-		e.ckCtx = make([]*checkpoint.Context, n)
-		e.ckRoots = make([][]any, n)
-		e.ckSnap = make([]*checkpoint.Snapshot, n)
-		e.ckParked = make([]bool, n)
-		e.ckBufLen = make([]int, n)
-		e.ckBufSeq = make([]uint64, n)
-		e.specN = make([]int64, n)
-	} else if cfg.Lookahead != 0 {
-		return nil, fmt.Errorf("engine: lookahead set without optimistic mode")
-	}
 	return e, nil
 }
 
@@ -390,13 +306,6 @@ func (e *Engine) SetObserver(obs node.Observer) { e.obs = obs }
 // SetTap installs the global transmission tap, replayed like the
 // observer stream (invariant checkers consume decoded packets).
 func (e *Engine) SetTap(t radio.Tap) { e.tap = t }
-
-// SetOnRollback installs a hook fired on the engine goroutine after
-// every speculation rollback, with all tiles quiesced at the rolled-
-// back-to barrier. The harness uses it to rewind cross-tile derived
-// state living outside per-tile checkpoints (the network's monotone
-// completion cursor).
-func (e *Engine) SetOnRollback(fn func()) { e.onRollback = fn }
 
 // ShardObserver returns the buffering observer for shard i; experiment
 // wiring appends it to the shard's observer chain when a global
@@ -438,13 +347,7 @@ func (e *Engine) RunUntil(pred func() bool, limit time.Duration) bool {
 	}
 	for e.barrier <= limit {
 		e.runGlobals()
-		var done bool
-		if e.optimistic {
-			done = e.speculate(pred, limit)
-		} else {
-			done = e.runWindow(pred, limit)
-		}
-		if done {
+		if e.runWindow(pred, limit) {
 			return true
 		}
 		if !e.skipIdle(limit) {
@@ -454,7 +357,7 @@ func (e *Engine) RunUntil(pred func() bool, limit time.Duration) bool {
 	return false
 }
 
-// runWindow executes one conservative lockstep window and reports
+// runWindow executes one lockstep window and reports
 // whether pred is satisfied at its barrier.
 func (e *Engine) runWindow(pred func() bool, limit time.Duration) bool {
 	next := e.barrier + e.window
@@ -503,7 +406,7 @@ func (e *Engine) runRound(cmd execCmd) {
 	b := e.bar
 	if b == nil {
 		for ti := range e.shards {
-			e.execTile(cmd.op, ti, cmd.to)
+			e.execTile(ti, cmd.to)
 		}
 		return
 	}
@@ -518,20 +421,13 @@ func (e *Engine) runRound(cmd execCmd) {
 	}
 }
 
-// execTile runs one command against one tile, on the goroutine of the
-// executor that owns it.
-func (e *Engine) execTile(op execOp, ti int, to time.Duration) {
-	switch op {
-	case opRun:
-		sh := e.shards[ti]
-		n := sh.Kernel.RunBefore(to)
-		sh.Kernel.AdvanceTo(to)
-		e.tileEvents[ti] += int64(n)
-	case opSpeculate:
-		e.specTile(ti, to)
-	case opRollback:
-		e.rollbackTile(ti, to)
-	}
+// execTile runs one tile up to (exclusive) the barrier at to and parks
+// its clock there, on the goroutine of the executor that owns it.
+func (e *Engine) execTile(ti int, to time.Duration) {
+	sh := e.shards[ti]
+	n := sh.Kernel.RunBefore(to)
+	sh.Kernel.AdvanceTo(to)
+	e.tileEvents[ti] += int64(n)
 }
 
 // exchange moves boundary-crossing frames between tiles: every tile's

@@ -22,7 +22,7 @@ import (
 //	f13_progress.csv t_s,fraction_complete
 //
 // It returns the paths written.
-func WriteCSVs(dir string, seed int64) ([]string, error) {
+func WriteCSVs(dir string, seed int64, ec EngineConfig) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func WriteCSVs(dir string, seed int64) ([]string, error) {
 	}
 
 	// Figures 8, 9 and 11 come from one 5-segment 20x20 run.
-	res, err := sim20x20("csv 20x20", seed, 5)
+	res, err := sim20x20(ec, "csv 20x20", seed, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func WriteCSVs(dir string, seed int64) ([]string, error) {
 	// Figure 10: the program-size sweep.
 	var sweepRows [][]string
 	for segs := 1; segs <= 10; segs++ {
-		r, err := sim20x20(fmt.Sprintf("csv F10 %d", segs), seed+int64(segs), segs)
+		r, err := sim20x20(ec, fmt.Sprintf("csv F10 %d", segs), seed+int64(segs), segs)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func WriteCSVs(dir string, seed int64) ([]string, error) {
 	}
 
 	// Figure 13: the propagation-progress curve of a single segment.
-	res13, err := sim20x20("csv F13", seed, 1)
+	res13, err := sim20x20(ec, "csv F13", seed, 1)
 	if err != nil {
 		return nil, err
 	}

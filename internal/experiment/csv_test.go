@@ -16,7 +16,7 @@ func TestWriteCSVs(t *testing.T) {
 		t.Skip("CSV regeneration skipped in -short mode")
 	}
 	dir := t.TempDir()
-	paths, err := WriteCSVs(dir, 42)
+	paths, err := WriteCSVs(dir, 42, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

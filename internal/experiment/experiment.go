@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -176,8 +175,8 @@ type Setup struct {
 	Telemetry *telemetry.Recorder
 	// Shards splits the deployment into that many spatially contiguous
 	// shards run in conservative lockstep by internal/engine. 0 (the
-	// default) takes the package default (SetDefaultShards); 1 runs the
-	// classic single-kernel path, byte-identical to earlier releases.
+	// default) and 1 run the classic single-kernel path, byte-identical
+	// to earlier releases.
 	// Sharded runs are deterministic functions of (Seed, Shards) but
 	// not bitwise identical to sequential ones — see DESIGN.md §4f.
 	Shards int
@@ -210,74 +209,40 @@ type Setup struct {
 	Repartition          bool
 	RepartitionEvery     int
 	RepartitionThreshold float64
-	// Optimistic switches the engine to optimistic window execution:
-	// executors speculate up to Lookahead windows past each barrier,
-	// checkpoint at speculation boundaries, and roll back and replay
-	// when a late cross-tile ghost invalidates the horizon. Results
-	// stay a pure function of (Seed, tile grid) — byte-identical to
-	// conservative lockstep. Requires the engine path (Shards > 1 or a
-	// multi-tile grid); the sequential path has no windows to skip.
-	Optimistic bool
-	// Lookahead is the speculation depth in windows (default 8; 1 is
-	// conservative lockstep, so the minimum is 2). Only meaningful with
-	// Optimistic.
-	Lookahead int
 }
 
-// defaultShards is what Setups that leave Shards zero get; mnpexp's
-// -shards flag reaches the predefined spec Setups through it.
-var defaultShards = 1
+// EngineConfig is a run's execution choice, kept apart from the
+// deployment so one predefined spec can run sequentially or tiled: the
+// mnpexp -shards/-tiles/-repartition flags set it on every Spec they
+// run. The zero value is the sequential single-kernel path.
+type EngineConfig struct {
+	// Shards is the executor count (or strip count without a tile
+	// grid), as Setup.Shards.
+	Shards int
+	// TileRows/TileCols or TileAuto select the tile grid, as the Setup
+	// fields of the same names.
+	TileRows, TileCols int
+	TileAuto           bool
+	// Repartition enables the adaptive tile repartitioner.
+	Repartition bool
+}
 
-// SetDefaultShards sets the shard count for Setups that do not choose
-// one. n < 1 resets to the sequential default. Not safe to call
-// concurrently with Build.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
+// Apply returns s with every engine choice it leaves unset taken from
+// e: Shards when zero, the tile grid when none is chosen, and
+// Repartition when off. Choices s makes itself win.
+func (e EngineConfig) Apply(s Setup) Setup {
+	if s.Shards == 0 {
+		s.Shards = e.Shards
 	}
-	defaultShards = n
-}
-
-// Package defaults for tiling and repartitioning, reached by mnpexp's
-// -tiles/-repartition flags the same way -shards reaches defaultShards.
-var (
-	defaultTileRows, defaultTileCols int
-	defaultTileAuto                  bool
-	defaultRepartition               bool
-)
-
-// SetDefaultTiles sets the tile grid for Setups that do not choose one:
-// rows×cols when both are positive, automatic sizing when either is
-// negative, none (the legacy strip layout) when both are zero. Not safe
-// to call concurrently with Build.
-func SetDefaultTiles(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		defaultTileRows, defaultTileCols, defaultTileAuto = 0, 0, true
-		return
+	if s.TileRows == 0 && s.TileCols == 0 && !s.TileAuto {
+		s.TileRows, s.TileCols, s.TileAuto = e.TileRows, e.TileCols, e.TileAuto
 	}
-	defaultTileRows, defaultTileCols, defaultTileAuto = rows, cols, false
+	s.Repartition = s.Repartition || e.Repartition
+	return s
 }
 
-// SetDefaultRepartition toggles the adaptive repartitioner for Setups
-// that do not choose. Not safe to call concurrently with Build.
-func SetDefaultRepartition(on bool) { defaultRepartition = on }
-
-// Optimism defaults, reached by mnpexp's -optimistic/-lookahead flags.
-var (
-	defaultOptimistic bool
-	defaultLookahead  int
-)
-
-// SetDefaultOptimistic toggles optimistic window execution for Setups
-// that do not choose, with the given speculation depth (0 keeps the
-// engine's default). Not safe to call concurrently with Build.
-func SetDefaultOptimistic(on bool, lookahead int) {
-	defaultOptimistic = on
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	defaultLookahead = lookahead
-}
+// run executes s under e.
+func (e EngineConfig) run(s Setup) (*Result, error) { return Run(e.Apply(s)) }
 
 // ParseTileSpec parses a CLI tile-grid argument: "" (no tiling),
 // "auto" (size the grid from the deployment and worker count), or
@@ -320,26 +285,10 @@ func (s Setup) withDefaults() Setup {
 		s.Limit = 12 * time.Hour
 	}
 	if s.Shards == 0 {
-		s.Shards = defaultShards
+		s.Shards = 1
 	}
 	if s.Mobility != nil && s.MobilityEvery == 0 {
 		s.MobilityEvery = 10 * time.Second
-	}
-	if s.TileRows == 0 && s.TileCols == 0 && !s.TileAuto {
-		if defaultTileAuto {
-			s.TileAuto = true
-		} else if defaultTileRows > 0 && defaultTileCols > 0 {
-			s.TileRows, s.TileCols = defaultTileRows, defaultTileCols
-		}
-	}
-	if !s.Repartition && defaultRepartition {
-		s.Repartition = true
-	}
-	if !s.Optimistic && defaultOptimistic {
-		s.Optimistic = true
-	}
-	if s.Optimistic && s.Lookahead == 0 {
-		s.Lookahead = defaultLookahead
 	}
 	return s
 }
@@ -394,18 +343,6 @@ func (s Setup) Validate() error {
 	}
 	if (s.RepartitionEvery != 0 || s.RepartitionThreshold != 0) && !s.Repartition {
 		return fmt.Errorf("experiment %s: repartition tuning set but repartitioning is off", s.Name)
-	}
-	if s.Lookahead < 0 {
-		return fmt.Errorf("experiment %s: lookahead %d windows is negative", s.Name, s.Lookahead)
-	}
-	if s.Lookahead == 1 {
-		return fmt.Errorf("experiment %s: lookahead 1 is conservative lockstep; use at least 2 (or 0 for the default)", s.Name)
-	}
-	if s.Lookahead > 0 && !s.Optimistic {
-		return fmt.Errorf("experiment %s: lookahead set but optimistic execution is off", s.Name)
-	}
-	if s.Optimistic && !(s.Shards > 1 || s.TileRows*s.TileCols > 1 || s.TileAuto) {
-		return fmt.Errorf("experiment %s: optimistic execution requires the tiled engine (shards > 1 or a tile grid)", s.Name)
 	}
 	if s.ImagePackets < 0 {
 		return fmt.Errorf("experiment %s: image size %d packets is negative", s.Name, s.ImagePackets)
@@ -547,13 +484,6 @@ func (r *Result) Counters() *telemetry.Counters {
 		c.Set("engine_ghosts_offered_total", st.GhostsOffered)
 		c.Set("engine_tile_migrations_total", st.Migrations)
 		c.Set("engine_repartitions_total", st.Repartitions)
-		if r.Setup.Optimistic {
-			c.Set("engine_spec_rounds_total", st.SpecRounds)
-			c.Set("engine_windows_speculated_total", st.SpecWindows)
-			c.Set("engine_windows_committed_total", st.SpecCommitted)
-			c.Set("engine_windows_rolled_back_total", st.SpecRolledBack)
-			c.Set("engine_rollbacks_total", st.Rollbacks)
-		}
 	}
 	var hits, misses, invalidations uint64
 	if r.Engine != nil {
@@ -911,8 +841,6 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 		Shards:      executors,
 		Repartition: rep,
 		OnLoad:      onLoad,
-		Optimistic:  s.Optimistic,
-		Lookahead:   s.Lookahead,
 	}, shards)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
@@ -998,34 +926,9 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 			Seed:    s.Seed,
 			Base:    s.BaseID,
 		}
-		if s.Optimistic {
-			// Per-node fault RNGs live in event closures the checkpoint
-			// walker cannot reach from any root; register each with its
-			// owning tile so speculative draws rewind with the tile.
-			env.OnRNG = func(id packet.NodeID, rng *rand.Rand) {
-				sh := shards[shardOf[id]]
-				sh.Roots = append(sh.Roots, rng)
-			}
-		}
 		if err := s.Faults.ApplySharded(env); err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 		}
-	}
-	if s.Optimistic {
-		// Checkpoint roots and journals per tile: the snapshot walker
-		// covers the kernel, the medium, and every owned node (battery,
-		// timers, protocol state, RNG cursor); the EEPROM stores and the
-		// tile collector carry their own bounded journals. Completion
-		// progress tracked outside the tiles is rewound on rollback.
-		for i, sh := range shards {
-			sh.Journals = append(sh.Journals, collectors[i])
-		}
-		for _, n := range nw.Nodes {
-			sh := shards[shardOf[n.ID()]]
-			sh.Roots = append(sh.Roots, n)
-			sh.Journals = append(sh.Journals, n.EEPROM())
-		}
-		eng.SetOnRollback(nw.RewindCompletion)
 	}
 	if s.Mobility != nil {
 		model, merr := s.Mobility(layout, s.Seed)

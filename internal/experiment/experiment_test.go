@@ -27,7 +27,7 @@ func TestAllSpecsRegistered(t *testing.T) {
 			t.Errorf("duplicate spec %s", s.ID)
 		}
 		seen[s.ID] = true
-		if s.Title == "" || s.Run == nil {
+		if s.Title == "" || s.run == nil {
 			t.Errorf("spec %s incomplete", s.ID)
 		}
 	}

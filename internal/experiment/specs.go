@@ -22,30 +22,37 @@ type Spec struct {
 	ID string
 	// Title describes the paper artifact.
 	Title string
-	// Run executes the workload and renders the report.
-	Run func(seed int64) (string, error)
+	// Engine is how the spec's runs execute; the zero value runs every
+	// one on the sequential single-kernel path.
+	Engine EngineConfig
+
+	run func(ec EngineConfig, seed int64) (string, error)
 }
+
+// Run executes the workload with the spec's Engine applied to every
+// Setup it builds (EngineConfig.Apply) and renders the report.
+func (s Spec) Run(seed int64) (string, error) { return s.run(s.Engine, seed) }
 
 // AllSpecs returns every experiment in paper order.
 func AllSpecs() []Spec {
 	return []Spec{
-		{ID: "T1", Title: "Table 1: power required by various Mica operations", Run: runT1},
-		{ID: "F5", Title: "Figure 5: indoor 3x5 grid, power levels 3 and 4", Run: runF5},
-		{ID: "F6", Title: "Figure 6: outdoor 5x5 grid, full and low power", Run: runF6},
-		{ID: "F7", Title: "Figure 7: outdoor 2x10 grid, full and low power", Run: runF7},
-		{ID: "F8", Title: "Figure 8: active radio time in a 20x20 network", Run: runF8},
-		{ID: "F9", Title: "Figure 9: active radio time without initial idle listening", Run: runF9},
-		{ID: "F10", Title: "Figure 10: completion time and ART vs program size", Run: runF10},
-		{ID: "F11", Title: "Figure 11: transmission and reception distributions", Run: runF11},
-		{ID: "F12", Title: "Figure 12: message types per one-minute window", Run: runF12},
-		{ID: "F13", Title: "Figure 13: code propagation progress", Run: runF13},
-		{ID: "EDEL", Title: "Section 5: MNP vs Deluge comparison", Run: runEDEL},
-		{ID: "A1", Title: "Ablation: sender selection disabled", Run: runA1},
-		{ID: "A2", Title: "Ablation: sleeping disabled", Run: runA2},
-		{ID: "A3", Title: "Ablation: query/update repair phase", Run: runA3},
-		{ID: "A4", Title: "Extension (section 6): battery-aware sender selection", Run: runA4},
-		{ID: "A5", Title: "Extension (section 4.2): S-MAC-style idle duty cycle", Run: runA5},
-		{ID: "A6", Title: "Scaling claim (section 6): 4x network with central base", Run: runA6},
+		{ID: "T1", Title: "Table 1: power required by various Mica operations", run: runT1},
+		{ID: "F5", Title: "Figure 5: indoor 3x5 grid, power levels 3 and 4", run: runF5},
+		{ID: "F6", Title: "Figure 6: outdoor 5x5 grid, full and low power", run: runF6},
+		{ID: "F7", Title: "Figure 7: outdoor 2x10 grid, full and low power", run: runF7},
+		{ID: "F8", Title: "Figure 8: active radio time in a 20x20 network", run: runF8},
+		{ID: "F9", Title: "Figure 9: active radio time without initial idle listening", run: runF9},
+		{ID: "F10", Title: "Figure 10: completion time and ART vs program size", run: runF10},
+		{ID: "F11", Title: "Figure 11: transmission and reception distributions", run: runF11},
+		{ID: "F12", Title: "Figure 12: message types per one-minute window", run: runF12},
+		{ID: "F13", Title: "Figure 13: code propagation progress", run: runF13},
+		{ID: "EDEL", Title: "Section 5: MNP vs Deluge comparison", run: runEDEL},
+		{ID: "A1", Title: "Ablation: sender selection disabled", run: runA1},
+		{ID: "A2", Title: "Ablation: sleeping disabled", run: runA2},
+		{ID: "A3", Title: "Ablation: query/update repair phase", run: runA3},
+		{ID: "A4", Title: "Extension (section 6): battery-aware sender selection", run: runA4},
+		{ID: "A5", Title: "Extension (section 4.2): S-MAC-style idle duty cycle", run: runA5},
+		{ID: "A6", Title: "Scaling claim (section 6): 4x network with central base", run: runA6},
 	}
 }
 
@@ -61,7 +68,7 @@ func ByID(id string) (Spec, bool) {
 
 // --- Table 1 ---
 
-func runT1(int64) (string, error) {
+func runT1(EngineConfig, int64) (string, error) {
 	c := energy.Table1
 	var b strings.Builder
 	b.WriteString("Table 1: power required by various Mica operations (nAh)\n")
@@ -81,10 +88,10 @@ func runT1(int64) (string, error) {
 // testbedPackets is the testbed program size: 100 packets (2.2 KB).
 const testbedPackets = 100
 
-func runTestbed(name string, rows, cols int, powers []int, seed int64) (string, error) {
+func runTestbed(ec EngineConfig, name string, rows, cols int, powers []int, seed int64) (string, error) {
 	var b strings.Builder
 	for _, power := range powers {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name:         fmt.Sprintf("%s power %d", name, power),
 			Rows:         rows,
 			Cols:         cols,
@@ -107,18 +114,18 @@ func runTestbed(name string, rows, cols int, powers []int, seed int64) (string, 
 	return b.String(), nil
 }
 
-func runF5(seed int64) (string, error) {
-	return runTestbed("F5 indoor 3x5", 3, 5,
+func runF5(ec EngineConfig, seed int64) (string, error) {
+	return runTestbed(ec, "F5 indoor 3x5", 3, 5,
 		[]int{radio.PowerIndoorHigh, radio.PowerIndoorLow}, seed)
 }
 
-func runF6(seed int64) (string, error) {
-	return runTestbed("F6 outdoor 5x5", 5, 5,
+func runF6(ec EngineConfig, seed int64) (string, error) {
+	return runTestbed(ec, "F6 outdoor 5x5", 5, 5,
 		[]int{radio.PowerFull, radio.PowerOutdoorLow}, seed)
 }
 
-func runF7(seed int64) (string, error) {
-	return runTestbed("F7 outdoor 2x10", 2, 10,
+func runF7(ec EngineConfig, seed int64) (string, error) {
+	return runTestbed(ec, "F7 outdoor 2x10", 2, 10,
 		[]int{radio.PowerFull, radio.PowerOutdoorLow}, seed)
 }
 
@@ -126,8 +133,8 @@ func runF7(seed int64) (string, error) {
 
 // sim20x20 runs the paper's main simulated workload: a 20×20 grid at
 // 10 ft spacing disseminating 5 segments (640 packets, 14.1 KB).
-func sim20x20(name string, seed int64, segments int) (*Result, error) {
-	res, err := Run(Setup{
+func sim20x20(ec EngineConfig, name string, seed int64, segments int) (*Result, error) {
+	res, err := ec.run(Setup{
 		Name:         name,
 		Rows:         20,
 		Cols:         20,
@@ -146,8 +153,8 @@ func sim20x20(name string, seed int64, segments int) (*Result, error) {
 	return res, nil
 }
 
-func runF8(seed int64) (string, error) {
-	res, err := sim20x20("F8 20x20 ART", seed, 5)
+func runF8(ec EngineConfig, seed int64) (string, error) {
+	res, err := sim20x20(ec, "F8 20x20 ART", seed, 5)
 	if err != nil {
 		return "", err
 	}
@@ -165,8 +172,8 @@ func runF8(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runF9(seed int64) (string, error) {
-	res, err := sim20x20("F9 20x20 ART w/o initial idle", seed, 5)
+func runF9(ec EngineConfig, seed int64) (string, error) {
+	res, err := sim20x20(ec, "F9 20x20 ART w/o initial idle", seed, 5)
 	if err != nil {
 		return "", err
 	}
@@ -199,13 +206,13 @@ func runF9(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runF10(seed int64) (string, error) {
+func runF10(ec EngineConfig, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("F10: 20x20 grid, program size 1..10 segments\n")
 	b.WriteString("segments    KB   completion        ART   ART w/o initial idle\n")
 	var xs, ys []float64
 	for segs := 1; segs <= 10; segs++ {
-		res, err := sim20x20(fmt.Sprintf("F10 %d segments", segs), seed+int64(segs), segs)
+		res, err := sim20x20(ec, fmt.Sprintf("F10 %d segments", segs), seed+int64(segs), segs)
 		if err != nil {
 			return "", err
 		}
@@ -230,8 +237,8 @@ func runF10(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runF11(seed int64) (string, error) {
-	res, err := sim20x20("F11 20x20 tx/rx distribution", seed, 5)
+func runF11(ec EngineConfig, seed int64) (string, error) {
+	res, err := sim20x20(ec, "F11 20x20 tx/rx distribution", seed, 5)
 	if err != nil {
 		return "", err
 	}
@@ -263,8 +270,8 @@ func runF11(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runF12(seed int64) (string, error) {
-	res, err := sim20x20("F12 20x20 message timeline", seed, 5)
+func runF12(ec EngineConfig, seed int64) (string, error) {
+	res, err := sim20x20(ec, "F12 20x20 message timeline", seed, 5)
 	if err != nil {
 		return "", err
 	}
@@ -307,8 +314,8 @@ func runF12(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runF13(seed int64) (string, error) {
-	res, err := sim20x20("F13 propagation progress", seed, 1)
+func runF13(ec EngineConfig, seed int64) (string, error) {
+	res, err := sim20x20(ec, "F13 propagation progress", seed, 1)
 	if err != nil {
 		return "", err
 	}
@@ -354,7 +361,7 @@ func runF13(seed int64) (string, error) {
 	for _, proto := range []ProtocolKind{ProtocolMNP, ProtocolDeluge} {
 		sum, n := 0.0, 0
 		for trial := int64(0); trial < 5; trial++ {
-			r, ok, err := diagEdgeRatio(proto, 4, seed+trial*31)
+			r, ok, err := diagEdgeRatio(ec, proto, 4, seed+trial*31)
 			if err != nil {
 				return "", err
 			}
@@ -375,8 +382,8 @@ func runF13(seed int64) (string, error) {
 // diagEdgeRatio runs a single-segment dissemination and compares code
 // arrival times at diagonal nodes against edge nodes at equal
 // Euclidean distance from the base corner.
-func diagEdgeRatio(proto ProtocolKind, spacing float64, seed int64) (float64, bool, error) {
-	res, err := Run(Setup{
+func diagEdgeRatio(ec EngineConfig, proto ProtocolKind, spacing float64, seed int64) (float64, bool, error) {
+	res, err := ec.run(Setup{
 		Name: fmt.Sprintf("F13 contrast %v", proto), Rows: 20, Cols: 20,
 		Spacing:      spacing,
 		ImagePackets: image.DefaultSegmentPackets,
@@ -414,12 +421,12 @@ func diagEdgeRatio(proto ProtocolKind, spacing float64, seed int64) (float64, bo
 
 // --- Section 5: Deluge comparison ---
 
-func runEDEL(seed int64) (string, error) {
+func runEDEL(ec EngineConfig, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("MNP vs Deluge: 20x20 grid, 5 segments (14.1 KB)\n")
 	b.WriteString("protocol  completion   mean ART   ART w/o initial idle   msgs sent\n")
 	for _, proto := range []ProtocolKind{ProtocolMNP, ProtocolDeluge} {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: fmt.Sprintf("EDEL %s", proto),
 			Rows: 20, Cols: 20,
 			ImagePackets: 5 * image.DefaultSegmentPackets,
@@ -452,12 +459,12 @@ func runEDEL(seed int64) (string, error) {
 
 // --- Ablations ---
 
-func runA1(seed int64) (string, error) {
+func runA1(ec EngineConfig, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("A1: sender selection on vs off (10x10, 2 segments)\n")
 	b.WriteString("variant            completion  concurrent-senders  collisions\n")
 	for _, off := range []bool{false, true} {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: fmt.Sprintf("A1 selection-off=%v", off),
 			Rows: 10, Cols: 10,
 			ImagePackets: 2 * image.DefaultSegmentPackets,
@@ -484,12 +491,12 @@ func runA1(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runA2(seed int64) (string, error) {
+func runA2(ec EngineConfig, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("A2: sleeping on vs off (10x10, 2 segments)\n")
 	b.WriteString("variant        completion   mean ART   ART/completion\n")
 	for _, off := range []bool{false, true} {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: fmt.Sprintf("A2 nosleep=%v", off),
 			Rows: 10, Cols: 10,
 			ImagePackets: 2 * image.DefaultSegmentPackets,
@@ -514,7 +521,7 @@ func runA2(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runA3(seed int64) (string, error) {
+func runA3(ec EngineConfig, seed int64) (string, error) {
 	lossy := radio.DefaultParams()
 	lossy.BERFloor = 5e-4
 	lossy.BERCeil = 3e-2
@@ -522,7 +529,7 @@ func runA3(seed int64) (string, error) {
 	b.WriteString("A3: query/update repair on vs off (lossy 6x6, 1 segment)\n")
 	b.WriteString("variant         completion   data msgs sent\n")
 	for _, off := range []bool{false, true} {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: fmt.Sprintf("A3 repair-off=%v", off),
 			Rows: 6, Cols: 6,
 			ImagePackets: image.DefaultSegmentPackets,
@@ -549,7 +556,7 @@ func runA3(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runA4(seed int64) (string, error) {
+func runA4(ec EngineConfig, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("A4: battery-aware sender selection (8x8 at 12 ft, 2 segments; odd nodes at 10% battery)\n")
 	b.WriteString("variant          low-batt elections  healthy elections  low-batt data tx  healthy data tx\n")
@@ -558,7 +565,7 @@ func runA4(seed int64) (string, error) {
 	for _, aware := range []bool{false, true} {
 		var lowElect, highElect, lowData, highData int
 		for trial := 0; trial < trials; trial++ {
-			res, err := Run(Setup{
+			res, err := ec.run(Setup{
 				Name: fmt.Sprintf("A4 aware=%v trial %d", aware, trial),
 				Rows: 8, Cols: 8,
 				Spacing:      12,
@@ -606,7 +613,7 @@ func runA4(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runA5(seed int64) (string, error) {
+func runA5(ec EngineConfig, seed int64) (string, error) {
 	// The paper (§4.2): "we can use a protocol such as S-MAC or SS-TDMA
 	// … a node could sleep for most of the time before the propagation
 	// wave arrives." Here the idle state duty-cycles 25% until first
@@ -615,7 +622,7 @@ func runA5(seed int64) (string, error) {
 	b.WriteString("A5: S-MAC-style idle duty cycle before first contact (20x20, 5 segments)\n")
 	b.WriteString("variant            completion   mean ART   ART/completion\n")
 	for _, duty := range []bool{false, true} {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: fmt.Sprintf("A5 duty=%v", duty),
 			Rows: 20, Cols: 20,
 			ImagePackets: 5 * image.DefaultSegmentPackets,
@@ -646,7 +653,7 @@ func runA5(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-func runA6(seed int64) (string, error) {
+func runA6(ec EngineConfig, seed int64) (string, error) {
 	// §6: "in our experiments and simulation, we kept the base station
 	// at the corner. Hence, we expect that this algorithm can be easily
 	// extended to the case where the network size is 4 times larger
@@ -666,7 +673,7 @@ func runA6(seed int64) (string, error) {
 	}
 	var completions []time.Duration
 	for _, v := range variants {
-		res, err := Run(Setup{
+		res, err := ec.run(Setup{
 			Name: v.name, Rows: v.rows, Cols: v.cols,
 			ImagePackets: 2 * image.DefaultSegmentPackets,
 			BaseID:       v.base,

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestAllSpecsProduceReports runs every paper experiment end to end and
@@ -45,5 +48,71 @@ func TestAllSpecsProduceReports(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSpecEngine checks that a Spec's Engine reaches every Setup the
+// spec builds, and that it is per-spec state: a tiled and a sequential
+// copy of one spec run side by side each produce the report they
+// produce alone.
+func TestSpecEngine(t *testing.T) {
+	tiled := EngineConfig{TileRows: 2, TileCols: 2, Shards: 2}
+
+	// Structure: which path did the built runs take?
+	probe := Spec{ID: "probe", run: func(ec EngineConfig, seed int64) (string, error) {
+		res, err := ec.run(Setup{Name: "probe", Rows: 3, Cols: 3, ImagePackets: 8, Seed: seed, Limit: time.Hour})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("engine=%v grid=%s", res.Engine != nil, res.TileGrid), nil
+	}}
+	for _, tc := range []struct {
+		ec   EngineConfig
+		want string
+	}{
+		{EngineConfig{}, "engine=false grid=0x0"},
+		{tiled, "engine=true grid=2x2"},
+	} {
+		probe.Engine = tc.ec
+		if got, err := probe.Run(1); err != nil || got != tc.want {
+			t.Errorf("Engine %+v: got %q (err %v), want %q", tc.ec, got, err, tc.want)
+		}
+	}
+
+	// Isolation: a real spec, alone and then concurrently.
+	seq, _ := ByID("F5")
+	til := seq
+	til.Engine = tiled
+	wantSeq, err := seq.Run(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTil, err := til.Run(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantSeq == wantTil {
+		t.Fatal("tiled and sequential F5 reports are identical; the Engine never reached the runs")
+	}
+	specs := []Spec{til, seq, til, seq}
+	got := make([]string, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, s := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Run(3)
+		}()
+	}
+	wg.Wait()
+	for i, s := range specs {
+		want := wantSeq
+		if s.Engine != (EngineConfig{}) {
+			want = wantTil
+		}
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("concurrent run %d (Engine %+v): report differs from its solo run (err %v)", i, s.Engine, errs[i])
+		}
 	}
 }

@@ -122,19 +122,6 @@ func TestTiledEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("grid %s seed %d: 2-executor digest %s, want %s — executor count leaked into results",
 						g, seed, dig, want)
 				}
-				// Optimistic execution is scheduling too: speculation with
-				// rollback must land on the same digest as lockstep.
-				s.Name = fmt.Sprintf("tiled-matrix-%s-s%d-opt", g, seed)
-				s.Repartition, s.RepartitionEvery, s.RepartitionThreshold = false, 0, 0
-				s.Optimistic = true
-				dig, res := tiledDigest(t, s)
-				if dig != want {
-					t.Fatalf("grid %s seed %d: optimistic digest %s, want %s — speculation leaked into results",
-						g, seed, dig, want)
-				}
-				if res.Engine.Stats().SpecRounds == 0 {
-					t.Fatalf("grid %s seed %d: optimistic cell never speculated", g, seed)
-				}
 			}
 		}
 	}
@@ -248,6 +235,47 @@ func TestTiledChaosCrashDuringForward(t *testing.T) {
 // identical digests and identical ghost-exchange totals — no boundary
 // frame dropped or duplicated across a migration barrier — while the
 // on-run demonstrably moves tiles.
+// TestTiledChaosRebootFlakyEEPROM runs the tiled engine through node
+// death, a reboot and flaky flash with the invariant checker attached:
+// the run must complete with verified images, and the per-node fault
+// RNGs and restart bookkeeping must keep the digest independent of the
+// worker count.
+func TestTiledChaosRebootFlakyEEPROM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos simulations in -short mode")
+	}
+	want := ""
+	for _, workers := range []int{1, 2} {
+		dig, res := tiledDigest(t, Setup{
+			Name: fmt.Sprintf("tiled-chaos-w%d", workers),
+			Rows: 6, Cols: 6, ImagePackets: 32, Seed: 42,
+			Limit:    4 * time.Hour,
+			TileRows: 2, TileCols: 2,
+			Shards: 4, Workers: workers,
+			Faults: &faults.Plan{Events: []faults.Event{
+				faults.Crash(29, 20*time.Second),
+				faults.CrashReboot(7, 10*time.Second, 8*time.Second),
+				faults.EEPROMErrors(11, 0.2, 0, 0),
+			}},
+			Invariants: &invariant.Config{},
+		})
+		if err := res.VerifyImages(); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Network.Node(29).Dead() || res.Network.Node(7).Dead() {
+			t.Fatal("the crash and reboot did not land before completion")
+		}
+		if res.Network.Node(11).EEPROM().FaultCount() == 0 {
+			t.Fatal("node 11 never hit an injected flash fault")
+		}
+		if want == "" {
+			want = dig
+		} else if dig != want {
+			t.Fatalf("workers %d: chaos digest %s, want %s", workers, dig, want)
+		}
+	}
+}
+
 func TestTiledRepartitionDuringFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full faulted simulations in -short mode")

@@ -279,8 +279,8 @@ func TestGossipBeaconSoundness(t *testing.T) {
 		t.Fatalf("sound beacon flagged: %v", err)
 	}
 	// Claiming 2 packets of segment 2 while holding 1 is the churn bug
-	// this rule exists for (a reboot or handoff resuming optimistic
-	// state the flash never held).
+	// this rule exists for (a reboot or handoff resuming RAM state the
+	// flash never held).
 	chk.PacketSent(5, &packet.GossipAdv{Src: 5, ProgramID: 1, Segments: 2,
 		SegPackets: 3, TotalPackets: 5, PayloadLen: 22, Tail: 22,
 		CompleteSegs: 1, Have: 2}, time.Millisecond)

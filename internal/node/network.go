@@ -123,12 +123,6 @@ func (nw *Network) AllCompleted() bool {
 	return true
 }
 
-// RewindCompletion resets AllCompleted's monotone cursor. The
-// optimistic engine calls it after a speculation rollback: the cursor
-// lives outside per-tile checkpoints, so progress it recorded against
-// since-rolled-back node state must be forgotten and rescanned.
-func (nw *Network) RewindCompletion() { nw.satisfiedCursor = 0 }
-
 // RunUntilComplete drives the simulation until every live node
 // completes or limit passes; it reports whether full coverage was
 // reached.

@@ -247,7 +247,7 @@ func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg C
 		proto:    proto,
 		store:    store,
 		observer: obs,
-		rng:      rand.New(sim.NewCountingSource(rand.NewSource(int64(id)*0x9E3779B9 ^ 0x51F1))),
+		rng:      rand.New(rand.NewSource(int64(id)*0x9E3779B9 ^ 0x51F1)),
 		cfg:      cfg,
 		battery:  cfg.Battery,
 		txPower:  cfg.TxPower,

@@ -301,6 +301,29 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestParseRejectsRemovedRunKeys keeps run-table keys of removed
+// engine modes out of the schema: each testdata/removed-<key>.toml
+// sets <key> in an otherwise valid [run] table, and the strict parser
+// must reject it by name rather than silently ignore it.
+func TestParseRejectsRemovedRunKeys(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "removed-*.toml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no testdata/removed-*.toml files")
+	}
+	for _, path := range paths {
+		key := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "removed-"), ".toml")
+		t.Run(key, func(t *testing.T) {
+			_, err := ParseFile(path)
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Fatalf("ParseFile = %v, want an error naming %q", err, key)
+			}
+		})
+	}
+}
+
 // TestCompileClosures verifies the declarative battery and tune rules
 // lower into closures with the documented semantics (later rules win,
 // defaults apply elsewhere).

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -154,10 +153,10 @@ func TestNewSizedSchedulingMatchesNew(t *testing.T) {
 	}
 }
 
-// --- optimistic-engine edge cases (PR 10) ---
-// The speculate-and-rollback engine leans harder on these primitives:
-// parked tiles are classified by NextEventAt after their pools drain,
-// and speculation horizons land exactly on event timestamps.
+// --- window-boundary edge cases ---
+// The lockstep engine leans on these primitives: skipIdle reads
+// NextEventAt after a tile's pool drains, and barriers can land exactly
+// on event timestamps.
 
 func TestNextEventAtOnDrainedPool(t *testing.T) {
 	k := New(1)
@@ -208,39 +207,5 @@ func TestRunBeforeSimultaneousEventsAtLimit(t *testing.T) {
 		if got != i {
 			t.Fatalf("simultaneous events ran out of order: %v", ran)
 		}
-	}
-}
-
-func TestCountingSourceForwardsExactly(t *testing.T) {
-	bare := rand.New(rand.NewSource(42))
-	wrapped := rand.New(NewCountingSource(rand.NewSource(42)))
-	for i := 0; i < 200; i++ {
-		switch i % 4 {
-		case 0:
-			if a, b := bare.Int63(), wrapped.Int63(); a != b {
-				t.Fatalf("Int63 diverged at %d: %d vs %d", i, a, b)
-			}
-		case 1:
-			if a, b := bare.Uint64(), wrapped.Uint64(); a != b {
-				t.Fatalf("Uint64 diverged at %d: %d vs %d", i, a, b)
-			}
-		case 2:
-			if a, b := bare.Intn(97), wrapped.Intn(97); a != b {
-				t.Fatalf("Intn diverged at %d: %d vs %d", i, a, b)
-			}
-		case 3:
-			if a, b := bare.Float64(), wrapped.Float64(); a != b {
-				t.Fatalf("Float64 diverged at %d: %v vs %v", i, a, b)
-			}
-		}
-	}
-	cs := NewCountingSource(rand.NewSource(1))
-	if cs.StateVersion() != 0 {
-		t.Fatalf("fresh source at version %d", cs.StateVersion())
-	}
-	cs.Int63()
-	cs.Uint64()
-	if cs.StateVersion() != 2 {
-		t.Fatalf("2 draws left version at %d", cs.StateVersion())
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // Re-exported experiment types: Setup describes a deployment, Result a
-// finished run, Spec a paper artifact.
+// finished run, Spec a paper artifact, EngineConfig how it executes.
 type (
 	// Setup configures a simulated deployment (grid size, program
 	// size, protocol, power level, seed).
@@ -30,6 +30,8 @@ type (
 	Result = experiment.Result
 	// Spec reproduces one of the paper's tables or figures.
 	Spec = experiment.Spec
+	// EngineConfig is how a Spec's runs execute (Spec.Engine).
+	EngineConfig = experiment.EngineConfig
 	// ProtocolKind selects the dissemination protocol.
 	ProtocolKind = experiment.ProtocolKind
 )
